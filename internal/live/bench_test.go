@@ -18,11 +18,12 @@ func benchRun(b *testing.B, mk func() Object, clients int, monitor bool) {
 		Clients:       clients,
 		Ops:           ops,
 		Seed:          1,
-		NoMonitor:     !monitor,
+		MonitorSpec:   check.MonitorSpec{Kind: check.MonitorNone},
 		LatencySample: 64,
 	}
 	if monitor {
 		cfg.Monitor = check.IncrementalConfig{Stride: 4096}
+		cfg.MonitorSpec = check.MonitorSpec{}
 	}
 	b.ResetTimer()
 	res, err := Run(cfg)

@@ -179,13 +179,13 @@ func TestCorruptTailRecoverLongestPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := Run(Config{
-		Object:    NewAtomicFetchInc("C", 0),
-		Clients:   2,
-		Ops:       40,
-		Seed:      5,
-		Serial:    true,
-		Sink:      log,
-		NoMonitor: true,
+		Object:      NewAtomicFetchInc("C", 0),
+		Clients:     2,
+		Ops:         40,
+		Seed:        5,
+		Serial:      true,
+		Sink:        log,
+		MonitorSpec: check.MonitorSpec{Kind: check.MonitorNone},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestCorruptTailRecoverLongestPrefix(t *testing.T) {
 	}
 	if _, err := Run(Config{
 		Object: NewAtomicFetchInc("C", 0), Clients: 2, Ops: 40, Seed: 5,
-		Serial: true, Sink: log2, NoMonitor: true,
+		Serial: true, Sink: log2, MonitorSpec: check.MonitorSpec{Kind: check.MonitorNone},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -276,13 +276,13 @@ func TestAllStalledEscapeSerial(t *testing.T) {
 	// Every client stalled on a window nobody can move the ticket past:
 	// the driver must force progress deterministically, not livelock.
 	res, err := Run(Config{
-		Object:    NewAtomicFetchInc("C", 0),
-		Clients:   2,
-		Ops:       5,
-		Seed:      1,
-		Serial:    true,
-		Faults:    mustFaults(t, "stall:0@1+1000,stall:1@1+1000"),
-		NoMonitor: true,
+		Object:      NewAtomicFetchInc("C", 0),
+		Clients:     2,
+		Ops:         5,
+		Seed:        1,
+		Serial:      true,
+		Faults:      mustFaults(t, "stall:0@1+1000,stall:1@1+1000"),
+		MonitorSpec: check.MonitorSpec{Kind: check.MonitorNone},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -294,12 +294,12 @@ func TestAllStalledEscapeSerial(t *testing.T) {
 
 func TestStallGoroutineCompletes(t *testing.T) {
 	res, err := Run(Config{
-		Object:    NewAtomicFetchInc("C", 0),
-		Clients:   2,
-		Ops:       200,
-		Seed:      2,
-		Faults:    mustFaults(t, "stall:0@20+50,stall:1@30+400"),
-		NoMonitor: true,
+		Object:      NewAtomicFetchInc("C", 0),
+		Clients:     2,
+		Ops:         200,
+		Seed:        2,
+		Faults:      mustFaults(t, "stall:0@20+50,stall:1@30+400"),
+		MonitorSpec: check.MonitorSpec{Kind: check.MonitorNone},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -320,12 +320,12 @@ func (f *failingObject) Fresh() Object { return f }
 
 func TestClientErrorContext(t *testing.T) {
 	_, err := Run(Config{
-		Object:    &failingObject{},
-		Clients:   2,
-		Ops:       3,
-		Seed:      1,
-		Serial:    true,
-		NoMonitor: true,
+		Object:      &failingObject{},
+		Clients:     2,
+		Ops:         3,
+		Seed:        1,
+		Serial:      true,
+		MonitorSpec: check.MonitorSpec{Kind: check.MonitorNone},
 	})
 	if err == nil {
 		t.Fatal("want error")

@@ -86,12 +86,10 @@ type Config struct {
 	Monitor check.IncrementalConfig
 	// MonitorSpec selects the monitor implementation (full, sample:N,
 	// shard:K, shard:key, none — see check.ParseMonitorSpec). The zero
-	// value is the sequential exhaustive monitor, so existing callers are
-	// unchanged. Kind none is equivalent to NoMonitor.
+	// value is the sequential exhaustive monitor. Kind none disables online
+	// checking: the run records and merges only (the configuration for
+	// pure throughput measurement).
 	MonitorSpec check.MonitorSpec
-	// NoMonitor disables online checking: the run records and merges only
-	// (the configuration for pure throughput measurement).
-	NoMonitor bool
 	// LatencySample records one latency sample every LatencySample
 	// operations per client (default 1: every operation; raise it on
 	// multi-million-op runs to keep the timestamping off the hot path).
@@ -166,7 +164,7 @@ type Result struct {
 	// start).
 	LatP50, LatP95, LatP99, LatMax time.Duration
 	// Verdict is the online monitor's trend over per-window MinT samples
-	// (zero when NoMonitor).
+	// (zero when the monitor spec is none).
 	Verdict check.Verdict
 	// Violation is the offending window when the monitor stopped the run.
 	Violation *check.WindowViolation
@@ -201,10 +199,10 @@ type runEnv struct {
 func newRunEnv(cfg *Config) (*runEnv, error) {
 	env := &runEnv{cfg: cfg, sinkOpen: cfg.Sink != nil}
 	env.seq.Store(cfg.StartSeq)
-	// MonitorNone and NoMonitor both mean "record only": the monitor stays
-	// nil so the reporting path keeps its monitoring-disabled shape instead
-	// of dressing a Null monitor's empty verdict up as a trend.
-	if !cfg.NoMonitor && cfg.MonitorSpec.Kind != check.MonitorNone {
+	// MonitorNone means "record only": the monitor stays nil so the
+	// reporting path keeps its monitoring-disabled shape instead of
+	// dressing a Null monitor's empty verdict up as a trend.
+	if cfg.MonitorSpec.Kind != check.MonitorNone {
 		mon, err := check.NewMonitor(cfg.MonitorSpec, cfg.Object.Spec(), cfg.Monitor)
 		if err != nil {
 			return nil, err

@@ -22,6 +22,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/elin-go/elin/internal/frame"
 	"github.com/elin-go/elin/internal/live"
 	"github.com/elin-go/elin/internal/server"
 	"github.com/elin-go/elin/internal/spec"
@@ -268,11 +269,11 @@ func (c *client) run(start time.Time) error {
 // records the result and advances done.
 func (c *client) exchange(opIndex uint64, op spec.Op) error {
 	req := server.AppendRequest(nil, server.Request{OpIndex: opIndex, Op: op})
-	if err := server.WriteFrame(c.conn, req); err != nil {
+	if _, err := c.conn.Write(frame.Append(nil, req)); err != nil {
 		return err
 	}
 	c.conn.SetReadDeadline(time.Now().Add(c.cfg.ioTimeout()))
-	payload, err := server.ReadFrame(c.br)
+	payload, err := frame.Read(c.br)
 	if err != nil {
 		return err
 	}
@@ -315,12 +316,13 @@ func (c *client) connect() error {
 			continue
 		}
 		br := bufio.NewReader(conn)
-		if err := server.WriteFrame(conn, server.AppendHello(nil, server.Hello{Client: uint64(c.id), Done: c.done})); err != nil {
+		hello := server.AppendHello(nil, server.Hello{Client: uint64(c.id), Done: c.done})
+		if _, err := conn.Write(frame.Append(nil, hello)); err != nil {
 			conn.Close()
 			continue
 		}
 		conn.SetReadDeadline(time.Now().Add(c.cfg.ioTimeout()))
-		payload, err := server.ReadFrame(br)
+		payload, err := frame.Read(br)
 		if err != nil {
 			conn.Close()
 			continue

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 
-	"github.com/elin-go/elin/internal/base"
 	"github.com/elin-go/elin/internal/check"
 	"github.com/elin-go/elin/internal/live"
 	"github.com/elin-go/elin/internal/registry"
@@ -24,16 +23,6 @@ func (Live) Name() string { return "live" }
 
 // resolveLive resolves the object under stress.
 func (s Scenario) resolveLive() (live.Object, error) {
-	if s.LiveValue != nil {
-		return s.LiveValue, nil
-	}
-	if s.ImplValue != nil {
-		policy, err := s.resolvePolicy()
-		if err != nil {
-			return nil, err
-		}
-		return live.NewSerializedImpl(s.ImplValue, s.Procs, base.SamePolicy(policy), s.Seed, s.Check)
-	}
 	policy, err := s.resolvePolicy()
 	if err != nil {
 		return nil, err
@@ -54,7 +43,7 @@ func monitorStride(obj live.Object, clients, stride int) (int, error) {
 	default:
 		s := 2 * (check.MaxOpsPerObject - clients - 2)
 		if s < 8 {
-			return 0, fmt.Errorf("scenario: %d clients leave no window room for the generic checker (cap %d ops); lower Procs or set NoMonitor",
+			return 0, fmt.Errorf("scenario: %d clients leave no window room for the generic checker (cap %d ops); lower Procs or use monitor none",
 				clients, check.MaxOpsPerObject)
 		}
 		if s > 80 {
@@ -102,7 +91,6 @@ func (Live) Run(s Scenario) (*Report, error) {
 		Rate:          s.Rate,
 		Monitor:       check.IncrementalConfig{Stride: stride, MaxT: s.Tolerance, Opts: s.Check},
 		MonitorSpec:   mspec,
-		NoMonitor:     s.NoMonitor,
 		LatencySample: s.LatencySample,
 		Faults:        fspec,
 		Serial:        s.Serial,
@@ -121,7 +109,7 @@ func (Live) Run(s Scenario) (*Report, error) {
 			return nil, err
 		}
 		log, err := wal.Create(s.WAL, wal.Header{
-			Object:    s.implName(),
+			Object:    s.Impl,
 			ObjName:   obj.Name(),
 			Procs:     s.Procs,
 			Ops:       s.Ops,

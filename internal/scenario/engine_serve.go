@@ -66,7 +66,7 @@ func BuildServer(s Scenario) (*server.Server, error) {
 			return nil, err
 		}
 		log, err := wal.Create(s.WAL, wal.Header{
-			Object:    s.implName(),
+			Object:    s.Impl,
 			ObjName:   obj.Name(),
 			Procs:     s.Procs,
 			Ops:       s.Ops,
@@ -88,7 +88,6 @@ func BuildServer(s Scenario) (*server.Server, error) {
 		Seed:        s.Seed,
 		Monitor:     check.IncrementalConfig{Stride: stride, MaxT: s.Tolerance, Opts: s.Check},
 		MonitorSpec: mspec,
-		NoMonitor:   s.NoMonitor,
 		NetFaults:   nf,
 		Sink:        sink,
 	})

@@ -49,7 +49,6 @@ func Recover(walPath string, s Scenario) (*Report, error) {
 		s.Seed = hdr.Seed + 1
 	}
 	s.Impl = hdr.Object
-	s.LiveValue, s.ImplValue = nil, nil
 	s = s.withDefaults()
 
 	policy, err := s.resolvePolicy()
@@ -76,8 +75,12 @@ func Recover(walPath string, s Scenario) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	mspec, err := s.resolveMonitor()
+	if err != nil {
+		return nil, err
+	}
 	stride := 0
-	if !s.NoMonitor {
+	if !s.monitorOff() {
 		stride, err = monitorStride(rr.Object, hdr.Procs+s.Procs, s.Stride)
 		if err != nil {
 			return nil, err
@@ -91,7 +94,7 @@ func Recover(walPath string, s Scenario) (*Report, error) {
 		Seed:          s.Seed,
 		Rate:          s.Rate,
 		Monitor:       check.IncrementalConfig{Stride: stride, MaxT: s.Tolerance, Opts: s.Check},
-		NoMonitor:     s.NoMonitor,
+		MonitorSpec:   mspec,
 		LatencySample: s.LatencySample,
 		Faults:        fspec,
 		Serial:        s.Serial,
@@ -155,7 +158,7 @@ func Recover(walPath string, s Scenario) (*Report, error) {
 		P99NS:          res.LatP99.Nanoseconds(),
 		Gomaxprocs:     runtime.GOMAXPROCS(0),
 	}
-	if !s.NoMonitor {
+	if !s.monitorOff() {
 		rep.Trend = trendInfo(res.Verdict)
 	}
 	if res.Violation != nil {

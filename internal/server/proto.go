@@ -6,8 +6,8 @@
 //
 // # Wire protocol
 //
-// Frames are exactly the WAL's: [len uint32 LE][crc uint32 LE][payload],
-// with the payload's first byte the message type. A connection opens with
+// Frames are the WAL's (package frame): [len uint32 LE][crc uint32 LE]
+// [payload], with the payload's first byte the message type. A connection opens with
 // the client's hello (magic, client id, resume count) answered by the
 // server's hello-ack (the session's applied count plus the cached last
 // response), after which the client sends request frames and the server
@@ -22,21 +22,14 @@
 package server
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
 
 	"github.com/elin-go/elin/internal/spec"
 )
 
 // Magic opens every client hello (8 bytes, version in the last byte).
 var Magic = [8]byte{'E', 'L', 'I', 'N', 'S', 'R', 'V', '1'}
-
-// maxFrame bounds a frame payload, like the WAL's: longer lengths are
-// treated as a broken peer.
-const maxFrame = 1 << 20
 
 // Message type tags (first payload byte).
 const (
@@ -81,47 +74,6 @@ type Response struct {
 	OpIndex uint64
 	Resp    int64
 	Ticket  uint64
-}
-
-// AppendFrame appends the CRC framing of payload to b.
-func AppendFrame(b, payload []byte) []byte {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	b = append(b, hdr[:]...)
-	return append(b, payload...)
-}
-
-// WriteFrame frames payload and writes it in one Write call.
-func WriteFrame(w io.Writer, payload []byte) error {
-	frame := AppendFrame(make([]byte, 0, 8+len(payload)), payload)
-	if _, err := w.Write(frame); err != nil {
-		return fmt.Errorf("server: write frame: %w", err)
-	}
-	return nil
-}
-
-// ReadFrame reads one frame and returns its payload. A bad length or CRC
-// is an error — the stream carries no resynchronization points, so the
-// connection is useless afterwards.
-func ReadFrame(r *bufio.Reader) ([]byte, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err // io.EOF passes through: a clean close between frames
-	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
-	crc := binary.LittleEndian.Uint32(hdr[4:8])
-	if n > maxFrame {
-		return nil, fmt.Errorf("server: frame length %d exceeds limit", n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("server: short frame: %w", err)
-	}
-	if crc32.ChecksumIEEE(payload) != crc {
-		return nil, fmt.Errorf("server: frame CRC mismatch")
-	}
-	return payload, nil
 }
 
 // AppendHello encodes a hello payload.
@@ -184,18 +136,12 @@ func DecodeHelloAck(b []byte) (HelloAck, error) {
 	return a, nil
 }
 
-// AppendRequest encodes a request payload (op encoding mirrors the WAL's
-// event payload: method length, method, arg count, varint args).
+// AppendRequest encodes a request payload (the operation in the
+// spec.AppendOp encoding the WAL shares).
 func AppendRequest(b []byte, r Request) []byte {
 	b = append(b, MsgRequest)
 	b = binary.AppendUvarint(b, r.OpIndex)
-	b = binary.AppendUvarint(b, uint64(len(r.Op.Method)))
-	b = append(b, r.Op.Method...)
-	b = append(b, byte(r.Op.NArgs))
-	for i := 0; i < r.Op.NArgs; i++ {
-		b = binary.AppendVarint(b, r.Op.Args[i])
-	}
-	return b
+	return spec.AppendOp(b, r.Op)
 }
 
 // DecodeRequest decodes a request payload.
@@ -212,31 +158,11 @@ func DecodeRequest(b []byte) (Request, error) {
 	if r.OpIndex, n = binary.Uvarint(b); n <= 0 {
 		return bad("op index")
 	}
-	b = b[n:]
-	mlen, n := binary.Uvarint(b)
-	if n <= 0 || mlen > uint64(len(b)-n) {
-		return bad("method length")
+	op, b, err := spec.DecodeOp(b[n:])
+	if err != nil {
+		return bad(err.Error())
 	}
-	b = b[n:]
-	r.Op.Method = string(b[:mlen])
-	b = b[mlen:]
-	if len(b) < 1 {
-		return bad("arg count")
-	}
-	nargs := int(b[0])
-	b = b[1:]
-	if nargs < 0 || nargs > len(r.Op.Args) {
-		return bad("arg count range")
-	}
-	r.Op.NArgs = nargs
-	for i := 0; i < nargs; i++ {
-		v, n := binary.Varint(b)
-		if n <= 0 {
-			return bad("arg")
-		}
-		r.Op.Args[i] = v
-		b = b[n:]
-	}
+	r.Op = op
 	if len(b) != 0 {
 		return bad("trailing bytes")
 	}

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"bufio"
-	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -51,26 +49,23 @@ func TestProtoRoundTripQuick(t *testing.T) {
 	}
 }
 
-func TestFrameRoundTripAndCorruption(t *testing.T) {
-	payload := AppendRequest(nil, Request{OpIndex: 3, Op: spec.MakeOp(spec.MethodFetchInc)})
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, payload); err != nil {
-		t.Fatal(err)
-	}
-	frame := append([]byte(nil), buf.Bytes()...)
-	got, err := ReadFrame(bufio.NewReader(bytes.NewReader(frame)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("frame payload diverged")
-	}
-	// Any flipped payload byte must fail the CRC.
-	for i := 8; i < len(frame); i++ {
-		bad := append([]byte(nil), frame...)
-		bad[i] ^= 0x40
-		if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(bad))); err == nil {
-			t.Fatalf("flipped byte %d went unnoticed", i)
+// FuzzDecodeRequest: decoding a request payload undoes AppendRequest, and
+// no payload makes DecodeRequest panic — what a decoded hostile payload
+// yields re-encodes to a payload that decodes to the same request.
+func FuzzDecodeRequest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, opIndex uint64, method string, nargs uint8, a, b int64, raw []byte) {
+		op := spec.Op{Method: method, NArgs: int(nargs % 3)}
+		copy(op.Args[:op.NArgs], []int64{a, b})
+		r := Request{OpIndex: opIndex, Op: op}
+		if got, err := DecodeRequest(AppendRequest(nil, r)); err != nil || got != r {
+			t.Fatalf("round trip of %+v: %+v, %v", r, got, err)
 		}
-	}
+		got, err := DecodeRequest(raw)
+		if err != nil {
+			return
+		}
+		if again, err := DecodeRequest(AppendRequest(nil, got)); err != nil || again != got {
+			t.Fatalf("re-encoding %+v: %+v, %v", got, again, err)
+		}
+	})
 }

@@ -10,6 +10,7 @@ import (
 
 	"github.com/elin-go/elin/internal/check"
 	"github.com/elin-go/elin/internal/faults"
+	"github.com/elin-go/elin/internal/frame"
 	"github.com/elin-go/elin/internal/history"
 	"github.com/elin-go/elin/internal/live"
 )
@@ -31,14 +32,11 @@ type Config struct {
 	// are pure functions of the commit ticket; the seed is recorded for
 	// symmetry with the rest of the fault plane and for future directives).
 	Seed int64
-	// Monitor configures the server-side online monitor; NoMonitor
-	// disables it.
-	Monitor   check.IncrementalConfig
-	NoMonitor bool
+	// Monitor configures the server-side online monitor.
+	Monitor check.IncrementalConfig
 	// MonitorSpec selects the monitor implementation (full, sample:N,
 	// shard:K, shard:key, none — see check.ParseMonitorSpec). The zero
-	// value is the sequential exhaustive monitor; kind none is equivalent
-	// to NoMonitor.
+	// value is the sequential exhaustive monitor; kind none disables it.
 	MonitorSpec check.MonitorSpec
 	// NetFaults is the seeded network fault plane, injected at the
 	// connection read/write seam (nil = no faults).
@@ -170,9 +168,9 @@ func New(cfg Config) (*Server, error) {
 	for i := range s.sessions {
 		s.sessions[i] = &session{id: i, shard: live.NewShard(0)}
 	}
-	// Kind none keeps mon nil, like NoMonitor: the Summary then reports the
-	// monitor as disabled instead of an empty verdict.
-	if !cfg.NoMonitor && cfg.MonitorSpec.Kind != check.MonitorNone {
+	// Kind none keeps mon nil: the Summary then reports the monitor as
+	// disabled instead of an empty verdict.
+	if cfg.MonitorSpec.Kind != check.MonitorNone {
 		mon, err := check.NewMonitor(cfg.MonitorSpec, cfg.Object.Spec(), cfg.Monitor)
 		if err != nil {
 			return nil, err
@@ -410,6 +408,12 @@ func (s *Server) refuseHello(client int) bool {
 // ----------------------------------------------------------------------------
 // Connection handling.
 
+// sendError writes an error frame. The connection closes after it either
+// way, so a failed write changes nothing.
+func sendError(c net.Conn, text string) {
+	c.Write(frame.Append(nil, AppendError(nil, text)))
+}
+
 // handleConn runs one connection: handshake, then the read->queue->apply
 // pipeline until the connection dies, a fault severs it, or the client
 // closes cleanly.
@@ -417,22 +421,22 @@ func (s *Server) handleConn(c net.Conn) {
 	defer c.Close()
 	br := bufio.NewReader(c)
 
-	payload, err := ReadFrame(br)
+	payload, err := frame.Read(br)
 	if err != nil {
 		return
 	}
 	hello, err := DecodeHello(payload)
 	if err != nil {
-		WriteFrame(c, AppendError(nil, err.Error()))
+		sendError(c, err.Error())
 		return
 	}
 	id := int(hello.Client)
 	if id < 0 || id >= len(s.sessions) {
-		WriteFrame(c, AppendError(nil, fmt.Sprintf("server: unknown client id %d (serving %d)", id, len(s.sessions))))
+		sendError(c, fmt.Sprintf("server: unknown client id %d (serving %d)", id, len(s.sessions)))
 		return
 	}
 	if s.refuseHello(id) {
-		WriteFrame(c, AppendError(nil, "server: partitioned"))
+		sendError(c, "server: partitioned")
 		return
 	}
 
@@ -440,15 +444,15 @@ func (s *Server) handleConn(c net.Conn) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if hello.Done > sess.applied {
-		WriteFrame(c, AppendError(nil, fmt.Sprintf(
-			"server: client %d claims %d ops done, server applied %d — lost commit", id, hello.Done, sess.applied)))
+		sendError(c, fmt.Sprintf(
+			"server: client %d claims %d ops done, server applied %d — lost commit", id, hello.Done, sess.applied))
 		return
 	}
-	if err := WriteFrame(c, AppendHelloAck(nil, HelloAck{
+	if _, err := c.Write(frame.Append(nil, AppendHelloAck(nil, HelloAck{
 		Applied:    sess.applied,
 		LastResp:   sess.lastResp,
 		LastTicket: sess.lastTicket,
-	})); err != nil {
+	}))); err != nil {
 		return
 	}
 
@@ -459,7 +463,7 @@ func (s *Server) handleConn(c net.Conn) {
 	go func() {
 		defer close(reqCh)
 		for {
-			payload, err := ReadFrame(br)
+			payload, err := frame.Read(br)
 			if err != nil {
 				return
 			}
@@ -509,7 +513,7 @@ func (s *Server) handleConn(c net.Conn) {
 			r, ticket, err := s.cfg.Object.Apply(id, op, &s.seq)
 			if err != nil {
 				sess.inflight.Store(false)
-				WriteFrame(c, AppendError(nil, fmt.Sprintf("server: apply: %v", err)))
+				sendError(c, fmt.Sprintf("server: apply: %v", err))
 				return
 			}
 			sess.shard.PushCommit(ticket, r, op)
@@ -522,8 +526,8 @@ func (s *Server) handleConn(c net.Conn) {
 			// re-apply, never re-record.
 			resp = Response{OpIndex: req.OpIndex, Resp: sess.lastResp, Ticket: sess.lastTicket}
 		default:
-			WriteFrame(c, AppendError(nil, fmt.Sprintf(
-				"server: client %d op index %d out of sequence (applied %d)", id, req.OpIndex, sess.applied)))
+			sendError(c, fmt.Sprintf(
+				"server: client %d op index %d out of sequence (applied %d)", id, req.OpIndex, sess.applied))
 			return
 		}
 		// Write-side seam: drops and partitions can cut between the apply
@@ -535,7 +539,7 @@ func (s *Server) handleConn(c net.Conn) {
 		if slowUS > 0 {
 			time.Sleep(time.Duration(slowUS) * time.Microsecond)
 		}
-		if err := WriteFrame(c, AppendResponse(nil, resp)); err != nil {
+		if _, err := c.Write(frame.Append(nil, AppendResponse(nil, resp))); err != nil {
 			return
 		}
 	}

@@ -8,6 +8,7 @@ import (
 
 	"github.com/elin-go/elin/internal/check"
 	"github.com/elin-go/elin/internal/faults"
+	"github.com/elin-go/elin/internal/frame"
 	"github.com/elin-go/elin/internal/history"
 	"github.com/elin-go/elin/internal/live"
 	"github.com/elin-go/elin/internal/loadgen"
@@ -246,9 +247,9 @@ func newReader(c net.Conn) *bufio.Reader { return bufio.NewReader(c) }
 // An out-of-sequence op index is a protocol error, answered and closed.
 func TestServeRejectsOutOfSequence(t *testing.T) {
 	s, addr := startServer(t, server.Config{
-		Object:    live.NewAtomicFetchInc("C", 0),
-		Clients:   1,
-		NoMonitor: true,
+		Object:      live.NewAtomicFetchInc("C", 0),
+		Clients:     1,
+		MonitorSpec: check.MonitorSpec{Kind: check.MonitorNone},
 	})
 	defer s.Shutdown()
 	conn, err := net.Dial("tcp", addr)
@@ -256,19 +257,19 @@ func TestServeRejectsOutOfSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := server.WriteFrame(conn, server.AppendHello(nil, server.Hello{Client: 0, Done: 0})); err != nil {
+	if _, err := conn.Write(frame.Append(nil, server.AppendHello(nil, server.Hello{Client: 0, Done: 0}))); err != nil {
 		t.Fatal(err)
 	}
 	br := newReader(conn)
-	if _, err := server.ReadFrame(br); err != nil { // hello-ack
+	if _, err := frame.Read(br); err != nil { // hello-ack
 		t.Fatal(err)
 	}
 	req := server.Request{OpIndex: 5}
 	req.Op.Method = "fetchinc"
-	if err := server.WriteFrame(conn, server.AppendRequest(nil, req)); err != nil {
+	if _, err := conn.Write(frame.Append(nil, server.AppendRequest(nil, req))); err != nil {
 		t.Fatal(err)
 	}
-	payload, err := server.ReadFrame(br)
+	payload, err := frame.Read(br)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,9 +282,9 @@ func TestServeRejectsOutOfSequence(t *testing.T) {
 // commit — refused at the handshake.
 func TestServeRejectsLostCommitClaim(t *testing.T) {
 	s, addr := startServer(t, server.Config{
-		Object:    live.NewAtomicFetchInc("C", 0),
-		Clients:   1,
-		NoMonitor: true,
+		Object:      live.NewAtomicFetchInc("C", 0),
+		Clients:     1,
+		MonitorSpec: check.MonitorSpec{Kind: check.MonitorNone},
 	})
 	defer s.Shutdown()
 	conn, err := net.Dial("tcp", addr)
@@ -291,10 +292,10 @@ func TestServeRejectsLostCommitClaim(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := server.WriteFrame(conn, server.AppendHello(nil, server.Hello{Client: 0, Done: 3})); err != nil {
+	if _, err := conn.Write(frame.Append(nil, server.AppendHello(nil, server.Hello{Client: 0, Done: 3}))); err != nil {
 		t.Fatal(err)
 	}
-	payload, err := server.ReadFrame(newReader(conn))
+	payload, err := frame.Read(newReader(conn))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,6 +19,7 @@
 package spec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strconv"
 	"strings"
@@ -101,6 +102,52 @@ func ParseOp(s string) (Op, error) {
 		op.Args[i] = v
 	}
 	return op, nil
+}
+
+// AppendOp appends the binary encoding of o to b — method length
+// (uvarint), method bytes, argument count (one byte), then each argument as
+// a varint — the operation encoding the wire protocol and the write-ahead
+// log share.
+func AppendOp(b []byte, o Op) []byte {
+	b = binary.AppendUvarint(b, uint64(len(o.Method)))
+	b = append(b, o.Method...)
+	b = append(b, byte(o.NArgs))
+	for i := 0; i < o.NArgs; i++ {
+		b = binary.AppendVarint(b, o.Args[i])
+	}
+	return b
+}
+
+// DecodeOp decodes the AppendOp encoding at the front of b and returns the
+// operation and the bytes after it.
+func DecodeOp(b []byte) (Op, []byte, error) {
+	bad := func(what string) (Op, []byte, error) {
+		return Op{}, nil, fmt.Errorf("op encoding: bad %s", what)
+	}
+	mlen, n := binary.Uvarint(b)
+	if n <= 0 || mlen > uint64(len(b)-n) {
+		return bad("method length")
+	}
+	b = b[n:]
+	o := Op{Method: string(b[:mlen])}
+	b = b[mlen:]
+	if len(b) < 1 {
+		return bad("arg count")
+	}
+	o.NArgs = int(b[0])
+	b = b[1:]
+	if o.NArgs > len(o.Args) {
+		return bad("arg count range")
+	}
+	for i := 0; i < o.NArgs; i++ {
+		v, n := binary.Varint(b)
+		if n <= 0 {
+			return bad("arg")
+		}
+		o.Args[i] = v
+		b = b[n:]
+	}
+	return o, b, nil
 }
 
 // Outcome is one (response, next-state) pair permitted by a transition

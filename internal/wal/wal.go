@@ -8,13 +8,7 @@
 // # File format
 //
 // A log is the 8-byte magic "ELINWAL1", one header frame, then one frame
-// per event. Every frame is
-//
-//	len   uint32 LE   payload length
-//	crc   uint32 LE   IEEE CRC-32 of the payload
-//	payload
-//
-// The header payload is a JSON Header (byte 0x00 first, distinguishing it
+// per event, each in the CRC framing of package frame. The header payload is a JSON Header (byte 0x00 first, distinguishing it
 // from event payloads); an event payload is the compact binary encoding of
 // one history.Event plus its merge position (commit ticket for responses,
 // sequencer stamp for invocations). Everything after the first frame whose
@@ -37,21 +31,18 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"strconv"
 	"strings"
 
+	"github.com/elin-go/elin/internal/frame"
 	"github.com/elin-go/elin/internal/history"
+	"github.com/elin-go/elin/internal/spec"
 )
 
 // magic identifies a log file (8 bytes, version in the last byte).
 var magic = [8]byte{'E', 'L', 'I', 'N', 'W', 'A', 'L', '1'}
-
-// maxFrame bounds a frame payload; longer lengths are treated as
-// corruption (an event payload is tens of bytes, a header well under 4k).
-const maxFrame = 1 << 20
 
 // Sync policies. Positive SyncPolicy values fsync every N appends.
 const (
@@ -121,8 +112,9 @@ type Log struct {
 	f       *os.File
 	w       *bufio.Writer
 	pol     SyncPolicy
-	pending int // appends since the last fsync
-	buf     []byte
+	pending int    // appends since the last fsync
+	payload []byte // reused event payload buffer
+	frame   []byte // reused framed-record buffer
 }
 
 // Create creates (truncating) a log file and writes magic plus header.
@@ -141,7 +133,7 @@ func Create(path string, h Header, pol SyncPolicy) (*Log, error) {
 		f.Close()
 		return nil, fmt.Errorf("wal: encode header: %w", err)
 	}
-	if err := l.writeFrame(append([]byte{frameHeader}, hdr...)); err != nil {
+	if err := l.write(append([]byte{frameHeader}, hdr...)); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -159,15 +151,10 @@ const (
 	frameRespond = byte(history.KindRespond) // 0x02
 )
 
-// writeFrame frames and buffers one payload.
-func (l *Log) writeFrame(payload []byte) error {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := l.w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wal: write: %w", err)
-	}
-	if _, err := l.w.Write(payload); err != nil {
+// write frames and buffers one payload.
+func (l *Log) write(payload []byte) error {
+	l.frame = frame.Append(l.frame[:0], payload)
+	if _, err := l.w.Write(l.frame); err != nil {
 		return fmt.Errorf("wal: write: %w", err)
 	}
 	return nil
@@ -181,16 +168,9 @@ func AppendEventPayload(b []byte, e history.Event, pos uint64) []byte {
 	b = binary.AppendUvarint(b, uint64(e.Proc))
 	b = binary.AppendUvarint(b, pos)
 	if e.Kind == history.KindInvoke {
-		b = binary.AppendUvarint(b, uint64(len(e.Op.Method)))
-		b = append(b, e.Op.Method...)
-		b = append(b, byte(e.Op.NArgs))
-		for i := 0; i < e.Op.NArgs; i++ {
-			b = binary.AppendVarint(b, e.Op.Args[i])
-		}
-	} else {
-		b = binary.AppendVarint(b, e.Resp)
+		return spec.AppendOp(b, e.Op)
 	}
-	return b
+	return binary.AppendVarint(b, e.Resp)
 }
 
 // DecodeEventPayload decodes one event payload (the inverse of
@@ -220,29 +200,8 @@ func DecodeEventPayload(b []byte) (e history.Event, pos uint64, err error) {
 	b = b[n:]
 	e = history.Event{Kind: kind, Proc: int(proc)}
 	if kind == history.KindInvoke {
-		mlen, n := binary.Uvarint(b)
-		if n <= 0 || mlen > uint64(len(b)-n) {
-			return bad("method length")
-		}
-		b = b[n:]
-		e.Op.Method = string(b[:mlen])
-		b = b[mlen:]
-		if len(b) < 1 {
-			return bad("nargs")
-		}
-		nargs := int(b[0])
-		b = b[1:]
-		if nargs < 0 || nargs > len(e.Op.Args) {
-			return bad("nargs range")
-		}
-		e.Op.NArgs = nargs
-		for i := 0; i < nargs; i++ {
-			v, n := binary.Varint(b)
-			if n <= 0 {
-				return bad("arg")
-			}
-			e.Op.Args[i] = v
-			b = b[n:]
+		if e.Op, b, err = spec.DecodeOp(b); err != nil {
+			return bad(err.Error())
 		}
 	} else {
 		v, n := binary.Varint(b)
@@ -262,8 +221,8 @@ func DecodeEventPayload(b []byte) (e history.Event, pos uint64, err error) {
 // CommitSink contract: a response frame is the durability point of its
 // commit ticket under the configured fsync policy.
 func (l *Log) Append(e history.Event, pos uint64) error {
-	l.buf = AppendEventPayload(l.buf[:0], e, pos)
-	if err := l.writeFrame(l.buf); err != nil {
+	l.payload = AppendEventPayload(l.payload[:0], e, pos)
+	if err := l.write(l.payload); err != nil {
 		return err
 	}
 	l.pending++
@@ -348,28 +307,23 @@ func Recover(path string) (*Recovered, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: recover: %w", err)
 	}
-	if len(data) < len(magic) || string(data[:len(magic)]) != string(magic[:]) {
-		return nil, fmt.Errorf("wal: recover %s: not a write-ahead log (bad magic)", path)
+	if err := checkMagic(path, data); err != nil {
+		return nil, err
 	}
-	off := int64(len(magic))
-	payload, next, ok := readFrame(data, off)
-	if !ok || len(payload) < 1 || payload[0] != frameHeader {
-		return nil, fmt.Errorf("wal: recover %s: header frame unreadable", path)
-	}
+	payload, off, err := frame.Parse(data, len(magic))
 	rec := &Recovered{}
-	if err := json.Unmarshal(payload[1:], &rec.Header); err != nil {
-		return nil, fmt.Errorf("wal: recover %s: header: %w", path, err)
+	if rec.Header, err = decodeHeader(path, payload, err); err != nil {
+		return nil, err
 	}
-	off = next
-	for off < int64(len(data)) {
-		payload, next, ok = readFrame(data, off)
-		if !ok {
-			rec.Torn, rec.TornAt = true, off
+	for off < len(data) {
+		payload, next, err := frame.Parse(data, off)
+		if err != nil {
+			rec.Torn, rec.TornAt = true, int64(off)
 			break
 		}
 		e, pos, err := DecodeEventPayload(payload)
 		if err != nil {
-			rec.Torn, rec.TornAt = true, off
+			rec.Torn, rec.TornAt = true, int64(off)
 			break
 		}
 		e.Obj = rec.Header.ObjName
@@ -381,34 +335,47 @@ func Recover(path string) (*Recovered, error) {
 	return rec, nil
 }
 
-// readFrame reads the frame at off, returning its payload and the next
-// frame's offset. ok is false on any framing damage (short header, bad
-// length, short payload, CRC mismatch).
-func readFrame(data []byte, off int64) (payload []byte, next int64, ok bool) {
-	if off+8 > int64(len(data)) {
-		return nil, 0, false
+// checkMagic rejects a file that does not open with the log magic.
+func checkMagic(path string, data []byte) error {
+	if len(data) < len(magic) || string(data[:len(magic)]) != string(magic[:]) {
+		return fmt.Errorf("wal: recover %s: not a write-ahead log (bad magic)", path)
 	}
-	n := binary.LittleEndian.Uint32(data[off : off+4])
-	crc := binary.LittleEndian.Uint32(data[off+4 : off+8])
-	if n > maxFrame || off+8+int64(n) > int64(len(data)) {
-		return nil, 0, false
-	}
-	payload = data[off+8 : off+8+int64(n)]
-	if crc32.ChecksumIEEE(payload) != crc {
-		return nil, 0, false
-	}
-	return payload, off + 8 + int64(n), true
+	return nil
 }
 
-// ReadHeaderOnly returns just the header of a log file (the cheap probe
-// `elin recover` uses to default its flags before committing to a full
-// recovery).
+// decodeHeader decodes the header frame's payload, or reports the framing
+// error err that kept it from being read.
+func decodeHeader(path string, payload []byte, err error) (Header, error) {
+	if err != nil || len(payload) < 1 || payload[0] != frameHeader {
+		return Header{}, fmt.Errorf("wal: recover %s: header frame unreadable", path)
+	}
+	var h Header
+	if err := json.Unmarshal(payload[1:], &h); err != nil {
+		return Header{}, fmt.Errorf("wal: recover %s: header: %w", path, err)
+	}
+	return h, nil
+}
+
+// ReadHeaderOnly returns just the header of a log file, reading only the
+// magic and the header frame (the cheap probe `elin recover` uses to
+// default its flags before committing to a full recovery).
 func ReadHeaderOnly(path string) (Header, error) {
-	rec, err := Recover(path)
+	f, err := os.Open(path)
 	if err != nil {
+		return Header{}, fmt.Errorf("wal: recover: %w", err)
+	}
+	defer f.Close()
+	br := bufio.NewReader(f)
+	var m [len(magic)]byte
+	n, err := io.ReadFull(br, m[:])
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return Header{}, fmt.Errorf("wal: recover: %w", err)
+	}
+	if err := checkMagic(path, m[:n]); err != nil {
 		return Header{}, err
 	}
-	return rec.Header, nil
+	payload, err := frame.Read(br)
+	return decodeHeader(path, payload, err)
 }
 
 var _ io.Closer = (*Log)(nil)

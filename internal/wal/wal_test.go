@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/elin-go/elin/internal/frame"
 	"github.com/elin-go/elin/internal/history"
 	"github.com/elin-go/elin/internal/spec"
 )
@@ -90,12 +91,12 @@ func TestTornTail(t *testing.T) {
 	// only required for mid-frame cuts.
 	hdrEnd := headerEnd(t, data)
 	boundary := map[int]bool{len(data): true}
-	for off := hdrEnd; off < int64(len(data)); {
-		_, next, ok := readFrame(data, off)
-		if !ok {
+	for off := hdrEnd; off < len(data); {
+		_, next, err := frame.Parse(data, off)
+		if err != nil {
 			t.Fatal("pristine log has a bad frame")
 		}
-		boundary[int(off)] = true
+		boundary[off] = true
 		off = next
 	}
 	for cut := len(data) - 1; cut >= 0; cut-- {
@@ -103,7 +104,7 @@ func TestTornTail(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec, err := Recover(path)
-		if int64(cut) < hdrEnd {
+		if cut < hdrEnd {
 			if err == nil {
 				t.Fatalf("cut %d (inside magic/header): want error", cut)
 			}
@@ -130,10 +131,10 @@ func TestTornTail(t *testing.T) {
 }
 
 // headerEnd returns the offset just past the header frame.
-func headerEnd(t *testing.T, data []byte) int64 {
+func headerEnd(t *testing.T, data []byte) int {
 	t.Helper()
-	_, next, ok := readFrame(data, int64(len(magic)))
-	if !ok {
+	_, next, err := frame.Parse(data, len(magic))
+	if err != nil {
 		t.Fatal("header frame unreadable in pristine log")
 	}
 	return next
@@ -150,7 +151,7 @@ func TestCorruptMiddle(t *testing.T) {
 	// before the damaged frame and return only intact prefix events.
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
-		off := hdrEnd + rng.Int63n(int64(len(data))-hdrEnd)
+		off := hdrEnd + rng.Intn(len(data)-hdrEnd)
 		bad := append([]byte(nil), data...)
 		bad[off] ^= 1 << uint(rng.Intn(8))
 		if err := os.WriteFile(path, bad, 0o644); err != nil {
@@ -276,4 +277,134 @@ func TestQuickFrameRoundTrip(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 2000, Rand: rng}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// ReadHeaderOnly reads the header without the events: a torn tail does not
+// matter to it, a bad magic or a damaged header frame does.
+func TestReadHeaderOnly(t *testing.T) {
+	path, _, _ := writeLog(t, SyncNever)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdrEnd := headerEnd(t, data)
+	for _, c := range []struct {
+		name string
+		data []byte
+		ok   bool
+	}{
+		{"torn tail", data[:len(data)-3], true},
+		{"header only", data[:hdrEnd], true},
+		{"bad magic", append([]byte("ELINWAL0"), data[len(magic):]...), false},
+		{"short magic", data[:5], false},
+		{"header CRC", flipByte(data, hdrEnd-1), false},
+		{"header cut", data[:hdrEnd-1], false},
+	} {
+		if err := os.WriteFile(path, c.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		h, err := ReadHeaderOnly(path)
+		if c.ok && (err != nil || h != testHeader()) {
+			t.Errorf("%s: ReadHeaderOnly = %+v, %v", c.name, h, err)
+		}
+		if !c.ok && err == nil {
+			t.Errorf("%s: ReadHeaderOnly accepted", c.name)
+		}
+	}
+	if _, err := ReadHeaderOnly(filepath.Join(t.TempDir(), "missing.wal")); err == nil {
+		t.Error("ReadHeaderOnly of a missing file accepted")
+	}
+}
+
+func flipByte(data []byte, off int) []byte {
+	bad := append([]byte(nil), data...)
+	bad[off] ^= 1
+	return bad
+}
+
+// Append frames into reused buffers: logging an event allocates nothing.
+func TestAppendAllocationFree(t *testing.T) {
+	l, err := Create(filepath.Join(t.TempDir(), "run.wal"), testHeader(), SyncNever)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	evs, pos := testEvents()
+	i := 0
+	n := testing.AllocsPerRun(200, func() {
+		if err := l.Append(evs[i%len(evs)], pos[i%len(evs)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if n != 0 {
+		t.Fatalf("Append: %v allocs per event, want 0", n)
+	}
+}
+
+// FuzzDecodeEventPayload: decoding undoes AppendEventPayload, and no
+// payload makes the decoder panic — what a hostile payload decodes to
+// re-encodes to a payload that decodes to the same event.
+func FuzzDecodeEventPayload(f *testing.F) {
+	f.Fuzz(func(t *testing.T, respond bool, proc uint16, pos uint64, method string, nargs uint8, a, b, resp int64, raw []byte) {
+		e, _ := quickEvent{Respond: respond, Proc: proc, Method: method, NArgs: nargs, Args: [2]int64{a, b}, Resp: resp}.event()
+		e.Obj = ""
+		got, gotPos, err := DecodeEventPayload(AppendEventPayload(nil, e, pos))
+		if err != nil || got != e || gotPos != pos {
+			t.Fatalf("round trip of %+v/%d: %+v/%d, %v", e, pos, got, gotPos, err)
+		}
+		got, gotPos, err = DecodeEventPayload(raw)
+		if err != nil {
+			return
+		}
+		again, againPos, err := DecodeEventPayload(AppendEventPayload(nil, got, gotPos))
+		if err != nil || again != got || againPos != gotPos {
+			t.Fatalf("re-encoding %+v/%d: %+v/%d, %v", got, gotPos, again, againPos, err)
+		}
+	})
+}
+
+// FuzzRecover: Recover never panics on arbitrary file bytes; it fails
+// exactly when ReadHeaderOnly does, and a torn log is torn at its first
+// bad frame — that frame does not parse or decode, and the bytes before it
+// recover clean to the same events.
+func FuzzRecover(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "fuzz.wal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := Recover(path)
+		h, herr := ReadHeaderOnly(path)
+		if (err == nil) != (herr == nil) {
+			t.Fatalf("Recover err %v, ReadHeaderOnly err %v", err, herr)
+		}
+		if err != nil {
+			return
+		}
+		if h != rec.Header {
+			t.Fatalf("ReadHeaderOnly header %+v, Recover header %+v", h, rec.Header)
+		}
+		if !rec.Torn {
+			return
+		}
+		at := int(rec.TornAt)
+		if at <= len(magic) || at >= len(data) {
+			t.Fatalf("TornAt %d outside the event region of %d bytes", at, len(data))
+		}
+		if payload, _, perr := frame.Parse(data, at); perr == nil {
+			if _, _, derr := DecodeEventPayload(payload); derr == nil {
+				t.Fatalf("TornAt %d names a good frame", at)
+			}
+		}
+		prefix := filepath.Join(dir, "prefix.wal")
+		if err := os.WriteFile(prefix, data[:at], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		clean, err := Recover(prefix)
+		if err != nil || clean.Torn || clean.Frames != rec.Frames || !reflect.DeepEqual(clean.Events, rec.Events) {
+			t.Fatalf("prefix before TornAt %d does not recover clean to the same events: %+v, %v", at, clean, err)
+		}
+	})
 }
