@@ -1,38 +1,47 @@
 package elin
 
 import (
-	"strings"
 	"testing"
 
 	"github.com/elin-go/elin/internal/core/counter"
 )
 
 // TestFacadeEndToEnd drives the whole stack through the façade only: build
-// a history, check it; run an implementation, check the recording.
+// a history, check it; run an implementation, check the recording; explore
+// every interleaving.
 func TestFacadeEndToEnd(t *testing.T) {
 	// 1. Hand-built history checking.
 	h := NewHistory()
-	if err := h.Invoke(0, "X", MakeOp1("write", 1)); err != nil {
+	if err := h.Invoke(0, "X", MakeOp("fetchinc")); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Invoke(1, "X", MakeOp("read")); err != nil {
+	if err := h.Invoke(1, "X", MakeOp("fetchinc")); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Respond(1, 1); err != nil {
+	if err := h.Respond(1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Respond(0, 0); err != nil {
+	if err := h.Respond(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	objs := map[string]Object{"X": NewObject(Register{})}
+	objs := map[string]Object{"X": NewObject(FetchInc{})}
 	ok, err := Linearizable(objs, h, Options{})
 	if err != nil || !ok {
 		t.Fatalf("Linearizable = %v, %v", ok, err)
 	}
+	weak, err := WeaklyConsistent(objs, h, Options{})
+	if err != nil || !weak {
+		t.Fatalf("WeaklyConsistent = %v, %v", weak, err)
+	}
+	mint, ok, err := MinT(NewObject(FetchInc{}), h, Options{})
+	if err != nil || !ok || mint != 0 {
+		t.Fatalf("MinT = %d, %v, %v", mint, ok, err)
+	}
 
 	// 2. Simulation + MinT monitoring.
+	var impl Impl = counter.CAS{}
 	res, err := Run(RunConfig{
-		Impl:     counter.CAS{},
+		Impl:     impl,
 		Workload: UniformWorkload(2, 3, MakeOp("fetchinc")),
 		Seed:     1,
 	})
@@ -48,7 +57,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 
 	// 3. Exhaustive exploration through the façade.
-	root, err := NewSystem(counter.CAS{}, UniformWorkload(2, 1, MakeOp("fetchinc")), nil, Options{}, false)
+	root, err := NewSystem(impl, UniformWorkload(2, 1, MakeOp("fetchinc")), nil, Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,85 +67,6 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	if !allLin || st.Leaves == 0 {
 		t.Fatalf("exploration: lin=%v leaves=%d", allLin, st.Leaves)
-	}
-}
-
-func TestFacadeSerialization(t *testing.T) {
-	text := "inv p0 X fetchinc\nres p0 X 0\n"
-	h, err := ReadHistoryText(strings.NewReader(text))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Len() != 2 {
-		t.Fatalf("len = %d", h.Len())
-	}
-	op, err := ParseOp("cas(1,2)")
-	if err != nil || op != MakeOp2("cas", 1, 2) {
-		t.Fatalf("ParseOp = %v, %v", op, err)
-	}
-}
-
-func TestFacadeTrendConstants(t *testing.T) {
-	if TrendStabilized.String() != "stabilized" ||
-		TrendDiverging.String() != "diverging" ||
-		TrendInconclusive.String() != "inconclusive" {
-		t.Error("trend constants mismatched")
-	}
-}
-
-func TestFacadeWeakResponses(t *testing.T) {
-	h := NewHistory()
-	if err := h.Call(0, "X", MakeOp("fetchinc"), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Invoke(1, "X", MakeOp("fetchinc")); err != nil {
-		t.Fatal(err)
-	}
-	resps, err := WeakResponses(NewObject(FetchInc{}), h, 1, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resps) != 2 { // 0 (ignoring p0) or 1 (counting p0)
-		t.Fatalf("WeakResponses = %v", resps)
-	}
-}
-
-func TestFacadeLiveRuntime(t *testing.T) {
-	// The live layer end to end through the facade: a clean run, and a
-	// caught-shrunk-confirmed junk run.
-	res, err := LiveRun(LiveConfig{
-		Object:  NewAtomicFetchInc("C", 0),
-		Clients: 2,
-		Ops:     400,
-		Seed:    1,
-		Monitor: MonitorConfig{Stride: 128},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Violation != nil || res.Verdict.Trend != TrendStabilized {
-		t.Fatalf("clean live run: violation=%v trend=%s", res.Violation, res.Verdict.Trend)
-	}
-	same, err := LiveVerify(NewAtomicFetchInc("C", 0), res.History)
-	if err != nil || !same {
-		t.Fatalf("replay identity: same=%v err=%v", same, err)
-	}
-
-	junk, err := LiveFuzz(FuzzConfig{
-		Base: LiveConfig{
-			Object:  NewJunkFetchInc("C", 25),
-			Clients: 2,
-			Ops:     200,
-			Seed:    5,
-			Monitor: MonitorConfig{Stride: 64},
-		},
-		Runs: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !junk.Found() || !junk.Witness.Replay.Diverged {
-		t.Fatalf("junk not caught+confirmed: %+v", junk)
 	}
 }
 
@@ -151,29 +81,29 @@ func TestFacadeScenario(t *testing.T) {
 		Seed:     1,
 		Budget:   ScenarioBudget{Depth: 22},
 	}
-	for _, e := range Engines() {
-		rep, err := e.Run(s)
+	for _, engine := range []string{"explore", "live", "serve", "sim"} {
+		rep, err := RunScenario(engine, s)
 		if err != nil {
-			t.Fatalf("%s: %v", e.Name(), err)
+			t.Fatalf("%s: %v", engine, err)
 		}
-		if rep.Verdict != VerdictOK {
-			t.Errorf("%s verdict = %s (%s)", e.Name(), rep.Verdict, rep.Detail)
+		if rep.Verdict != "ok" {
+			t.Errorf("%s verdict = %s (%s)", engine, rep.Verdict, rep.Detail)
 		}
 	}
 	rep, err := RunScenario("explore", Scenario{
 		Impl:     "reg-consensus",
 		Procs:    2,
 		Ops:      1,
-		Analysis: AnalysisValency,
+		Analysis: "valency",
 		Budget:   ScenarioBudget{Depth: 14},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Valency == nil || rep.Verdict != VerdictViolation {
+	if rep.Valency == nil || rep.Verdict != "violation" {
 		t.Fatalf("valency scenario: verdict=%s valency=%+v", rep.Verdict, rep.Valency)
 	}
-	if _, err := EngineByName("nosuch"); err == nil {
+	if _, err := RunScenario("nosuch", s); err == nil {
 		t.Error("unknown engine accepted")
 	}
 }

@@ -129,14 +129,10 @@ type Incremental struct {
 	maxSampleEvery int // high-water mark of sampleEvery over the run
 }
 
-// NewIncremental returns the sequential monitor for a single-object history
-// against obj.
-//
-// Deprecated: construct monitors through NewMonitor with a MonitorSpec —
-// it covers this monitor (kinds MonitorFull and MonitorSample) alongside
-// the sharded and record-only implementations behind the Monitor interface.
-// NewIncremental stays for callers that need the concrete type.
-func NewIncremental(obj spec.Object, cfg IncrementalConfig) *Incremental {
+// newIncremental returns the sequential monitor for a single-object history
+// against obj. Callers outside the package construct it through NewMonitor
+// (kinds MonitorFull and MonitorSample).
+func newIncremental(obj spec.Object, cfg IncrementalConfig) *Incremental {
 	m := &Incremental{
 		cfg: cfg,
 		obj: obj,

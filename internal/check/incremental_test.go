@@ -39,7 +39,7 @@ func serialCounter(t *testing.T, k int) *history.History {
 
 func TestIncrementalCleanRun(t *testing.T) {
 	obj := spec.NewObject(spec.FetchInc{})
-	m := NewIncremental(obj, IncrementalConfig{Stride: 16})
+	m := newIncremental(obj, IncrementalConfig{Stride: 16})
 	h := serialCounter(t, 100)
 	if v := feedAll(t, m, h); v != nil {
 		t.Fatalf("clean history flagged: %v", v)
@@ -76,7 +76,7 @@ func TestIncrementalRebaseMatchesFull(t *testing.T) {
 		resp += 2
 	}
 	for _, stride := range []int{5, 7, 16, 64, 1000} {
-		m := NewIncremental(obj, IncrementalConfig{Stride: stride})
+		m := newIncremental(obj, IncrementalConfig{Stride: stride})
 		if v := feedAll(t, m, h); v != nil {
 			t.Fatalf("stride %d: clean concurrent history flagged: %v", stride, v)
 		}
@@ -96,7 +96,7 @@ func TestIncrementalCatchesDuplicate(t *testing.T) {
 	// A lost update far into the run: two ops answer 40.
 	mustDo(t, h.Call(0, "C", spec.MakeOp(spec.MethodFetchInc), 40))
 	mustDo(t, h.Call(1, "C", spec.MakeOp(spec.MethodFetchInc), 40))
-	m := NewIncremental(obj, IncrementalConfig{Stride: 16})
+	m := newIncremental(obj, IncrementalConfig{Stride: 16})
 	v := feedAll(t, m, h)
 	if v == nil {
 		t.Fatal("duplicate response not caught")
@@ -148,7 +148,7 @@ func TestIncrementalToleranceAndTrend(t *testing.T) {
 		mustDo(t, h.Call(0, "C", spec.MakeOp(spec.MethodFetchInc), k))
 		k++
 	}
-	m := NewIncremental(obj, IncrementalConfig{Stride: 8, MaxT: 4})
+	m := newIncremental(obj, IncrementalConfig{Stride: 8, MaxT: 4})
 	if v := feedAll(t, m, h); v != nil {
 		t.Fatalf("tolerated run flagged: %v", v)
 	}
@@ -172,7 +172,7 @@ func TestIncrementalNegativeMaxTObserves(t *testing.T) {
 	h := serialCounter(t, 10)
 	mustDo(t, h.Call(0, "C", spec.MakeOp(spec.MethodFetchInc), 10))
 	mustDo(t, h.Call(1, "C", spec.MakeOp(spec.MethodFetchInc), 10))
-	m := NewIncremental(obj, IncrementalConfig{Stride: 8, MaxT: -1})
+	m := newIncremental(obj, IncrementalConfig{Stride: 8, MaxT: -1})
 	if v := feedAll(t, m, h); v != nil {
 		t.Fatalf("negative-MaxT monitor flagged: %v", v)
 	}
@@ -192,7 +192,7 @@ func TestIncrementalNoViolationMode(t *testing.T) {
 	h := serialCounter(t, 10)
 	mustDo(t, h.Call(0, "C", spec.MakeOp(spec.MethodFetchInc), 10))
 	mustDo(t, h.Call(1, "C", spec.MakeOp(spec.MethodFetchInc), 10))
-	m := NewIncremental(obj, IncrementalConfig{Stride: 8, NoViolation: true})
+	m := newIncremental(obj, IncrementalConfig{Stride: 8, NoViolation: true})
 	if v := feedAll(t, m, h); v != nil {
 		t.Fatalf("NoViolation monitor flagged: %v", v)
 	}
@@ -278,7 +278,7 @@ func TestIncrementalCrashCutGap(t *testing.T) {
 	// Strides chosen to place window cuts before, at, and after the crash
 	// gap (the pending invocation is event 80).
 	for _, stride := range []int{7, 16, 80, 81, 1000} {
-		m := NewIncremental(obj, IncrementalConfig{Stride: stride})
+		m := newIncremental(obj, IncrementalConfig{Stride: stride})
 		if v := feedAll(t, m, h); v != nil {
 			t.Fatalf("stride %d: crash-cut history flagged: %v", stride, v)
 		}
@@ -290,7 +290,7 @@ func TestIncrementalCrashCutGap(t *testing.T) {
 		}
 	}
 	// Fine stride gives enough windows for a trend verdict across the cut.
-	m := NewIncremental(obj, IncrementalConfig{Stride: 16})
+	m := newIncremental(obj, IncrementalConfig{Stride: 16})
 	if v := feedAll(t, m, h); v != nil {
 		t.Fatal(v)
 	}

@@ -151,18 +151,16 @@ func (ms MonitorSpec) String() string {
 }
 
 // NewMonitor constructs the monitor a spec selects, watching a history
-// against obj under the shared windowing config. This is the constructor
-// the runtime uses; NewIncremental remains as the direct form of the
-// sequential monitor.
+// against obj under the shared windowing config.
 func NewMonitor(ms MonitorSpec, obj spec.Object, cfg IncrementalConfig) (Monitor, error) {
 	switch ms.Kind {
 	case MonitorFull:
-		return NewIncremental(obj, cfg), nil
+		return newIncremental(obj, cfg), nil
 	case MonitorSample:
 		if ms.N < 2 {
 			return nil, fmt.Errorf("check: monitor sample interval %d (want >= 2)", ms.N)
 		}
-		m := NewIncremental(obj, cfg)
+		m := newIncremental(obj, cfg)
 		m.SetSampleEvery(ms.N)
 		return m, nil
 	case MonitorShardWindow:

@@ -12,7 +12,7 @@ import (
 // stabilizes on a clean run.
 func TestIncrementalSamplingSkipsWindows(t *testing.T) {
 	obj := spec.NewObject(spec.FetchInc{})
-	m := NewIncremental(obj, IncrementalConfig{Stride: 16})
+	m := newIncremental(obj, IncrementalConfig{Stride: 16})
 	m.SetSampleEvery(4)
 	h := serialCounter(t, 200) // 400 events = 25 full windows
 	if v := feedAll(t, m, h); v != nil {
@@ -39,7 +39,7 @@ func TestIncrementalSamplingSkipsWindows(t *testing.T) {
 func TestIncrementalSamplingFoldStaysCorrect(t *testing.T) {
 	obj := spec.NewObject(spec.FetchInc{})
 	for _, every := range []int{1, 2, 3, 5} {
-		m := NewIncremental(obj, IncrementalConfig{Stride: 10})
+		m := newIncremental(obj, IncrementalConfig{Stride: 10})
 		m.SetSampleEvery(every)
 		if v := feedAll(t, m, serialCounter(t, 150)); v != nil {
 			t.Fatalf("sampleEvery=%d: clean run flagged: %v", every, v)
@@ -51,7 +51,7 @@ func TestIncrementalSamplingFoldStaysCorrect(t *testing.T) {
 // would have skipped it — a run never ends on an unchecked window.
 func TestIncrementalSamplingFinishMeasures(t *testing.T) {
 	obj := spec.NewObject(spec.FetchInc{})
-	m := NewIncremental(obj, IncrementalConfig{Stride: 16})
+	m := newIncremental(obj, IncrementalConfig{Stride: 16})
 	m.SetSampleEvery(100) // would skip essentially everything
 	h := serialCounter(t, 40)
 	// Tail violation: duplicate response in the final partial window.
@@ -66,7 +66,7 @@ func TestIncrementalSamplingFinishMeasures(t *testing.T) {
 // exhaustive checking.
 func TestIncrementalSamplingEscalation(t *testing.T) {
 	obj := spec.NewObject(spec.FetchInc{})
-	m := NewIncremental(obj, IncrementalConfig{Stride: 8, MaxT: 3})
+	m := newIncremental(obj, IncrementalConfig{Stride: 8, MaxT: 3})
 	m.SetSampleEvery(2)
 	h := history.New()
 	// Every window needs t = 2 (a genuinely stale serial read per round):
@@ -114,7 +114,7 @@ func TestIncrementalSamplingCountdownPhase(t *testing.T) {
 	}
 	for _, c := range cases {
 		obj := spec.NewObject(spec.FetchInc{})
-		m := NewIncremental(obj, IncrementalConfig{Stride: stride})
+		m := newIncremental(obj, IncrementalConfig{Stride: stride})
 		h := serialCounter(t, (c.before+c.after)*stride/2)
 		cut := c.before * stride
 		for i := 0; i < cut; i++ {
@@ -155,7 +155,7 @@ func TestIncrementalSamplingNoEscalationObserved(t *testing.T) {
 		{Stride: 8, NoViolation: true},
 		{Stride: 8, MaxT: -1},
 	} {
-		m := NewIncremental(obj, cfg)
+		m := newIncremental(obj, cfg)
 		m.SetSampleEvery(2)
 		h := history.New()
 		resp := int64(0)

@@ -451,7 +451,7 @@ func (s *ShardedByKey) Feed(e history.Event) (*WindowViolation, error) {
 	}
 	sub, ok := s.subs[e.Obj]
 	if !ok {
-		sub = NewIncremental(s.obj, s.cfg)
+		sub = newIncremental(s.obj, s.cfg)
 		if s.sampleEvery > 1 {
 			sub.SetSampleEvery(s.sampleEvery)
 		}

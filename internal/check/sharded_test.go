@@ -191,7 +191,7 @@ func TestShardedByWindowMatchesSequential(t *testing.T) {
 	obj := spec.NewObject(spec.FetchInc{})
 	cfg := IncrementalConfig{Stride: 16, MaxT: 2}
 	for name, h := range equivalenceHistories(t) {
-		ref := NewIncremental(obj, cfg)
+		ref := newIncremental(obj, cfg)
 		feedMon(t, ref, h)
 		for _, workers := range []int{1, 2, 4, 8} {
 			m, err := NewShardedByWindow(obj, cfg, workers)
@@ -210,7 +210,7 @@ func TestShardedByWindowSampling(t *testing.T) {
 	obj := spec.NewObject(spec.FetchInc{})
 	cfg := IncrementalConfig{Stride: 16}
 	h := serialCounter(t, 400)
-	ref := NewIncremental(obj, cfg)
+	ref := newIncremental(obj, cfg)
 	m, err := NewShardedByWindow(obj, cfg, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -379,7 +379,7 @@ func TestShardedByWindowEquivalenceQuick(t *testing.T) {
 			emit(r)
 		}
 		cfg := IncrementalConfig{Stride: 8 + rng.Intn(24), MaxT: 2}
-		ref := NewIncremental(obj, cfg)
+		ref := newIncremental(obj, cfg)
 		feedMon(t, ref, h)
 		m, err := NewShardedByWindow(obj, cfg, 1+rng.Intn(8))
 		if err != nil {

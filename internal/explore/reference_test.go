@@ -11,8 +11,7 @@ import (
 // explore.go: the equivalence tests assert that both engines produce
 // identical Stats, leaf histories, valency classifications and stable-node
 // verdicts, and the BenchmarkExploreUndo*/BenchmarkExploreClone* pairs
-// quantify what the undo engine buys. It is not used on any production
-// path.
+// quantify what the undo engine buys. Only tests and benchmarks use it.
 
 // CloneDFS is the clone-per-edge reference implementation of DFS: every
 // edge deep-copies the entire configuration (programmes, base objects and

@@ -116,7 +116,10 @@ func TestCrashRecoverContinueSerialByteIdentical(t *testing.T) {
 	// of a correct counter is 0-linearizable and the trend classifies as
 	// stabilized.
 	obj := NewAtomicFetchInc("C", 0)
-	mon := check.NewIncremental(obj.Spec(), check.IncrementalConfig{Stride: 32})
+	mon, err := check.NewMonitor(check.MonitorSpec{}, obj.Spec(), check.IncrementalConfig{Stride: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < h1.Len(); i++ {
 		v, err := mon.Feed(h1.Event(i))
 		if err != nil {
