@@ -27,8 +27,8 @@ const maxFrame = 1 << 20
 // headerLen is the size of the length and CRC fields before a payload.
 const headerLen = 8
 
-// ErrCRC reports a payload whose checksum does not match its header.
-var ErrCRC = errors.New("frame: CRC mismatch")
+// errCRC reports a payload whose checksum does not match its header.
+var errCRC = errors.New("frame: CRC mismatch")
 
 // Append appends the framing of payload to b and returns the extended
 // slice. It allocates only when b lacks the capacity, so a caller reusing
@@ -57,7 +57,7 @@ func Read(r *bufio.Reader) ([]byte, error) {
 		return nil, fmt.Errorf("frame: short payload: %w", err)
 	}
 	if crc32.ChecksumIEEE(payload) != crc {
-		return nil, ErrCRC
+		return nil, errCRC
 	}
 	return payload, nil
 }
@@ -79,7 +79,7 @@ func Parse(data []byte, off int) (payload []byte, next int, err error) {
 	}
 	payload = data[start : start+n]
 	if crc32.ChecksumIEEE(payload) != crc {
-		return nil, 0, ErrCRC
+		return nil, 0, errCRC
 	}
 	return payload, start + n, nil
 }

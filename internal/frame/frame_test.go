@@ -32,11 +32,11 @@ func TestRoundTripAndCorruption(t *testing.T) {
 	for i := 4; i < len(frame); i++ {
 		bad := append([]byte(nil), frame...)
 		bad[i] ^= 0x40
-		if _, err := readAll(bad); !errors.Is(err, ErrCRC) {
-			t.Fatalf("Read: flipped byte %d: err = %v, want ErrCRC", i, err)
+		if _, err := readAll(bad); !errors.Is(err, errCRC) {
+			t.Fatalf("Read: flipped byte %d: err = %v, want errCRC", i, err)
 		}
-		if _, _, err := Parse(bad, 0); !errors.Is(err, ErrCRC) {
-			t.Fatalf("Parse: flipped byte %d: err = %v, want ErrCRC", i, err)
+		if _, _, err := Parse(bad, 0); !errors.Is(err, errCRC) {
+			t.Fatalf("Parse: flipped byte %d: err = %v, want errCRC", i, err)
 		}
 	}
 }
@@ -69,17 +69,13 @@ func TestRejections(t *testing.T) {
 	}
 }
 
-// Append allocates once into a nil buffer (the wire path frames every
-// message fresh) and not at all into a reused one with room (the WAL's
-// append path).
-func TestAppendAllocations(t *testing.T) {
+// Append into a reused buffer with room allocates nothing — the WAL's
+// append path depends on it.
+func TestAppendReuseAllocationFree(t *testing.T) {
 	payload := []byte("0123456789")
-	if n := testing.AllocsPerRun(100, func() { _ = Append(nil, payload) }); n != 1 {
-		t.Errorf("Append into nil: %v allocs, want 1", n)
-	}
 	buf := make([]byte, 0, 64)
 	if n := testing.AllocsPerRun(100, func() { buf = Append(buf[:0], payload) }); n != 0 {
-		t.Errorf("Append into a reused buffer: %v allocs, want 0", n)
+		t.Fatalf("Append into a reused buffer: %v allocs, want 0", n)
 	}
 }
 

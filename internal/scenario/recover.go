@@ -176,6 +176,8 @@ func Recover(walPath string, s Scenario) (*Report, error) {
 	case res.Crashed:
 		rep.Detail = fmt.Sprintf("recovered %d commits, then crashed again at commit %d (injected fault)",
 			rr.Committed, res.CrashTicket)
+	case s.monitorOff():
+		rep.Detail = fmt.Sprintf("recovered %d commits and continued %d ops (monitoring disabled)", rr.Committed, res.Ops)
 	case rec.Torn:
 		rep.Detail = fmt.Sprintf("recovered %d commits from a torn log (cut at byte %d) and continued %d ops; stitched history within tolerance",
 			rr.Committed, rec.TornAt, res.Ops)

@@ -141,3 +141,26 @@ func TestRecoverChainsThroughOutWAL(t *testing.T) {
 		t.Errorf("chained recovery verdict = %s (%s)", rec2.Verdict, rec2.Detail)
 	}
 }
+
+// Recovering under monitor none continues the run record-only: no trend,
+// and the detail says monitoring was disabled instead of claiming the
+// stitched history was checked.
+func TestRecoverMonitorNone(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.wal")
+	if _, err := Run("live", Scenario{
+		Impl: "atomic-fi", Procs: 2, Ops: 100, Seed: 3,
+		Serial: true, WAL: path, Faults: "crash:120",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Recover(path, Scenario{Ops: 50, Serial: true, Monitor: "none"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() || rep.Trend != nil || !strings.Contains(rep.Detail, "monitoring disabled") {
+		t.Fatalf("record-only recovery: verdict %s, trend %+v, detail %q", rep.Verdict, rep.Trend, rep.Detail)
+	}
+	if rep.Scenario.Monitor != "none" {
+		t.Errorf("report monitor = %q, want none", rep.Scenario.Monitor)
+	}
+}

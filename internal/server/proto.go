@@ -7,18 +7,18 @@
 // # Wire protocol
 //
 // Frames are the WAL's (package frame): [len uint32 LE][crc uint32 LE]
-// [payload], with the payload's first byte the message type. A connection opens with
-// the client's hello (magic, client id, resume count) answered by the
-// server's hello-ack (the session's applied count plus the cached last
-// response), after which the client sends request frames and the server
-// answers each with a response frame carrying the commit ticket. Sessions
-// are keyed by client id and survive reconnects: operations are strictly
-// sequential per client (op index 0,1,2,...), the server caches the last
-// applied operation's response, and a request one below the applied count
-// replays that cache instead of re-applying — together with the hello-ack
-// reconciliation this makes every reconnect exactly-once: an operation the
-// server committed is never re-applied, an operation it never saw is
-// resent, and nothing else is possible.
+// [payload], with the payload's first byte the message type. A connection
+// opens with the client's hello (magic, client id, resume count) answered
+// by the server's hello-ack (the session's applied count plus the cached
+// last response), after which the client sends request frames and the
+// server answers each with a response frame carrying the commit ticket.
+// Sessions are keyed by client id and survive reconnects: operations are
+// strictly sequential per client (op index 0,1,2,...), the server caches
+// the last applied operation's response, and a request one below the
+// applied count replays that cache instead of re-applying — together with
+// the hello-ack reconciliation this makes every reconnect exactly-once: an
+// operation the server committed is never re-applied, an operation it never
+// saw is resent, and nothing else is possible.
 package server
 
 import (

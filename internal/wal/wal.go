@@ -8,13 +8,14 @@
 // # File format
 //
 // A log is the 8-byte magic "ELINWAL1", one header frame, then one frame
-// per event, each in the CRC framing of package frame. The header payload is a JSON Header (byte 0x00 first, distinguishing it
-// from event payloads); an event payload is the compact binary encoding of
-// one history.Event plus its merge position (commit ticket for responses,
+// per event, each in the CRC framing of package frame. The header payload
+// is a JSON Header (byte 0x00 first, distinguishing it from event
+// payloads); an event payload is the compact binary encoding of one
+// history.Event plus its merge position (commit ticket for responses,
 // sequencer stamp for invocations). Everything after the first frame whose
 // length is implausible or whose CRC fails is a torn tail: Recover stops
-// there, reports Torn, and returns the events before it — a frame is
-// either wholly durable or it never happened.
+// there, reports Torn, and returns the events before it — a frame is either
+// wholly durable or it never happened.
 //
 // # Durability knob
 //
