@@ -164,3 +164,43 @@ func TestRecoverMonitorNone(t *testing.T) {
 		t.Errorf("report monitor = %q, want none", rep.Scenario.Monitor)
 	}
 }
+
+// Recover resolves the monitor spec like every live run does, so each
+// checking spec monitors the stitched history of a resumed run: a clean
+// atomic counter stabilizes, and a junk counter that sticks at 40 only
+// after the crash at commit 30 is caught in window [64,128) with MinT 62
+// (sample:2 checks only that second window).
+func TestRecoverMonitorSpecs(t *testing.T) {
+	dir := t.TempDir()
+	clean := filepath.Join(dir, "clean.wal")
+	junk := filepath.Join(dir, "junk.wal")
+	for path, s := range map[string]Scenario{
+		clean: {Impl: "atomic-fi", Faults: "crash:120"},
+		junk:  {Impl: "junk-fi:40", Faults: "crash:30"},
+	} {
+		s.Procs, s.Ops, s.Seed, s.Serial, s.WAL = 2, 100, 3, true, path
+		if _, err := Run("live", s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for spec, windows := range map[string]int{"full": 2, "sample:2": 1, "shard:2": 2, "shard:key": 2} {
+		rep, err := Recover(clean, Scenario{Ops: 50, Serial: true, Stride: 64, Monitor: spec})
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		if !rep.OK() || rep.Trend == nil || rep.Trend.Trend != "stabilized" {
+			t.Errorf("%s clean: verdict %s, trend %+v, detail %q", spec, rep.Verdict, rep.Trend, rep.Detail)
+		}
+		if rep.Recovery == nil || rep.Recovery.RecoveredCommits != 120 {
+			t.Errorf("%s clean: recovery %+v", spec, rep.Recovery)
+		}
+		rep, err = Recover(junk, Scenario{Ops: 50, Serial: true, Stride: 64, Monitor: spec})
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		if rep.OK() || rep.Trend == nil || rep.Trend.FinalMinT != 62 || rep.Trend.Windows != windows ||
+			!strings.Contains(rep.Detail, "window [64,128)") {
+			t.Errorf("%s junk: verdict %s, trend %+v, detail %q", spec, rep.Verdict, rep.Trend, rep.Detail)
+		}
+	}
+}
